@@ -1,7 +1,7 @@
 # Developer entry points; CI calls the same targets so local runs and the
 # pipeline cannot drift.
 
-.PHONY: build test race bench profile fmt vet lint fuzz-smoke cluster-smoke chaos-smoke
+.PHONY: build test race bench profile profile-fig fmt vet lint fuzz-smoke cluster-smoke chaos-smoke
 
 build:
 	go build ./... && go build ./examples/...
@@ -25,6 +25,14 @@ profile:
 	  -rate 20000 -duration 2 -maintain -mode event \
 	  -cpuprofile cpu.prof -memprofile mem.prof > /dev/null
 	@echo "wrote cpu.prof and mem.prof — inspect with: go tool pprof cpu.prof"
+
+# profile-fig renders Fig. 6(a) and 6(b) at the paper's size (N=2^16,
+# 20000 pairs, 3 trials) through cmd/figures with the CPU profiler on —
+# the graph-routing workload, where Route dominates.
+profile-fig:
+	go run ./cmd/figures -fig 6a -cpuprofile fig6a.prof > /dev/null
+	go run ./cmd/figures -fig 6b -cpuprofile fig6b.prof > /dev/null
+	@echo "wrote fig6a.prof and fig6b.prof — inspect with: go tool pprof fig6a.prof"
 
 # cluster-smoke boots a live in-process 64-node DHT cluster and replays
 # an eventsim massfail schedule against it — the quick end-to-end check

@@ -13,6 +13,7 @@ package rcm_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"rcm/exp"
@@ -197,32 +198,47 @@ func BenchmarkRoutabilityEvalAsymptotic(b *testing.B) {
 	}
 }
 
-// BenchmarkRoute measures a single greedy route on a 2^14-node overlay at
-// q=0.3 for each protocol.
+// BenchmarkRoute measures a single greedy route at q=0.3 for each
+// protocol on a 2^14-node overlay over 1024 recurring pairs, and for the
+// Fig. 6 protocols at the paper's 2^16 (d=16) over 2^16 pairs, where the
+// routing tables outgrow a typical L2 cache and most hops miss it.
 func BenchmarkRoute(b *testing.B) {
-	for _, name := range dht.ProtocolNames() {
-		b.Run(name, func(b *testing.B) {
-			p, err := dht.New(name, dht.Config{Bits: 14, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		bits, pairs int
+		protocols   []string
+	}{
+		{14, 1 << 10, dht.ProtocolNames()},
+		{16, 1 << 16, []string{"plaxton", "can", "kademlia", "chord"}},
+	} {
+		bits, pairs := c.bits, c.pairs
+		for _, name := range c.protocols {
+			sub := name
+			if bits != 14 {
+				sub = fmt.Sprintf("d=%d/%s", bits, name)
 			}
-			s := p.Space()
-			alive := overlay.NewBitset(int(s.Size()))
-			rng := overlay.NewRNG(7)
-			alive.FillRandomAlive(0.3, rng)
-			srcs := make([]overlay.ID, 1024)
-			dsts := make([]overlay.ID, 1024)
-			for i := range srcs {
-				srcs[i] = overlay.ID(rng.Uint64n(s.Size()))
-				dsts[i] = overlay.ID(rng.Uint64n(s.Size()))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := i & 1023
-				p.Route(srcs[k], dsts[k], alive)
-			}
-		})
+			b.Run(sub, func(b *testing.B) {
+				p, err := dht.New(name, dht.Config{Bits: bits, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				s := p.Space()
+				alive := overlay.NewBitset(int(s.Size()))
+				rng := overlay.NewRNG(7)
+				alive.FillRandomAlive(0.3, rng)
+				srcs := make([]overlay.ID, pairs)
+				dsts := make([]overlay.ID, pairs)
+				for i := range srcs {
+					srcs[i] = overlay.ID(rng.Uint64n(s.Size()))
+					dsts[i] = overlay.ID(rng.Uint64n(s.Size()))
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k := i & (pairs - 1)
+					p.Route(srcs[k], dsts[k], alive)
+				}
+			})
+		}
 	}
 }
 

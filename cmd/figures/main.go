@@ -11,6 +11,9 @@
 //	figures -fig churngrid           # E16: geometry × churn-repair grid
 //	figures -fig all -bits 12        # everything, at reduced size
 //	figures -fig all -out results/   # write one file per table
+//
+// -cpuprofile writes a pprof CPU profile of the generation (`make
+// profile-fig` wraps Fig. 6 at the paper's size).
 package main
 
 import (
@@ -19,6 +22,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 
 	"rcm/internal/figures"
@@ -43,6 +47,7 @@ func run(args []string, stdout io.Writer) error {
 		seed   = fs.Uint64("seed", 0, "override seed")
 		outDir = fs.String("out", "", "write one file per table into this directory instead of stdout")
 		dotDir = fs.String("dot", "", "also write the Fig. 4/5/8 chain diagrams as Graphviz .dot files into this directory")
+		cpuPro = fs.String("cpuprofile", "", "write a CPU profile of the generation to this file (inspect with: go tool pprof)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -54,6 +59,18 @@ func run(args []string, stdout io.Writer) error {
 		if err := writeChainDots(*dotDir, stdout); err != nil {
 			return err
 		}
+	}
+
+	if *cpuPro != "" {
+		f, err := os.Create(*cpuPro)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
 	}
 
 	opt := figures.Options{Bits: *bits, Pairs: *pairs, Trials: *trials, Seed: *seed}

@@ -180,3 +180,18 @@ func TestAllFiguresSmoke(t *testing.T) {
 		})
 	}
 }
+
+// TestCPUProfileFlag: -cpuprofile writes a non-empty pprof file, and an
+// unwritable path fails cleanly.
+func TestCPUProfileFlag(t *testing.T) {
+	dir := t.TempDir()
+	prof := filepath.Join(dir, "cpu.prof")
+	runCapture(t, "-fig", "6b", "-bits", "8", "-pairs", "200", "-trials", "1", "-cpuprofile", prof)
+	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
+		t.Fatalf("cpu profile not written: %v", err)
+	}
+	var sb strings.Builder
+	if err := run([]string{"-fig", "7b", "-cpuprofile", filepath.Join(dir, "no", "such", "dir.prof")}, &sb); err == nil {
+		t.Error("unwritable -cpuprofile accepted")
+	}
+}

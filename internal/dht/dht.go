@@ -94,19 +94,19 @@ func probeCost(attempts int) int { return 2 * attempts }
 // prefixRefresh re-draws table entry i of node x in a prefix-corrected
 // table (entry i flips bit i of x with a uniform random tail), preferring
 // alive candidates, and returns the modeled message cost. Kademlia and
-// Plaxton tables share this structure, so both protocols' Maintainer
-// methods delegate here.
-func prefixRefresh(s overlay.Space, tbl []overlay.ID, x overlay.ID, i int, alive *overlay.Bitset, rng *overlay.RNG) int {
+// Plaxton tables share this structure, so both protocols' Maintainer and
+// Resampler methods delegate here.
+func prefixRefresh(s overlay.Space, tbl []uint32, x overlay.ID, i int, alive *overlay.Bitset, rng *overlay.RNG) int {
 	id, attempts := drawAliveCost(alive, func() overlay.ID {
 		return s.RandomTail(s.FlipBit(x, i), i, rng)
 	})
-	tbl[int(x)*s.Bits()+i-1] = id
+	tbl[int(x)*s.Bits()+i-1] = uint32(id)
 	return probeCost(attempts)
 }
 
-// prefixJoin is the full-table prefixRefresh: the Maintainer.Join body
-// shared by Kademlia and Plaxton.
-func prefixJoin(s overlay.Space, tbl []overlay.ID, x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG) int {
+// prefixJoin is the full-table prefixRefresh: the Join and ResampleNode
+// body shared by Kademlia and Plaxton.
+func prefixJoin(s overlay.Space, tbl []uint32, x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG) int {
 	cost := 0
 	for i := 1; i <= s.Bits(); i++ {
 		cost += prefixRefresh(s, tbl, x, i, alive, rng)
@@ -120,8 +120,24 @@ func prefixJoin(s overlay.Space, tbl []overlay.ID, x overlay.ID, alive *overlay.
 type Config = registry.Config
 
 // MaxSimBits caps overlay sizes: routing tables are O(N·d), so d=22 is
-// roughly 350 MB of table and already far past the paper's N = 2^16.
+// about 370 MB of 4-byte entries (2^22·22·4 B) and already far past the
+// paper's N = 2^16.
 const MaxSimBits = 22
+
+// The Chord, Kademlia and Plaxton tables store identifiers as uint32, so
+// every simulated identifier must fit in 32 bits (the constant overflows
+// and the build fails otherwise).
+const _ uint = 32 - MaxSimBits
+
+// neighbors widens node x's d table entries to identifiers: the
+// Protocol.Neighbors body of the uint32-table protocols.
+func neighbors(tbl []uint32, x overlay.ID, d int) []overlay.ID {
+	out := make([]overlay.ID, d)
+	for i, id := range tbl[int(x)*d : int(x)*d+d] {
+		out[i] = overlay.ID(id)
+	}
+	return out
+}
 
 func space(c Config) (overlay.Space, error) {
 	if c.Bits < 1 || c.Bits > MaxSimBits {

@@ -1,6 +1,8 @@
 package dht
 
 import (
+	"math/bits"
+
 	"rcm/overlay"
 )
 
@@ -13,8 +15,9 @@ import (
 // (Fig. 5(a)), at the cost of progress that is not preserved across phases.
 type Kademlia struct {
 	space overlay.Space
-	// table[x*d + (i-1)] is node x's bucket-i contact.
-	table []overlay.ID
+	// table[x*d + (i-1)] is node x's bucket-i contact: x's first i−1 bits,
+	// bit i flipped, a random tail.
+	table []uint32
 }
 
 var (
@@ -32,11 +35,11 @@ func NewKademlia(cfg Config) (*Kademlia, error) {
 	d := s.Bits()
 	n := s.Size()
 	rng := overlay.NewRNG(cfg.Seed ^ 0x6b61646d6c6961) // "kadmlia"
-	table := make([]overlay.ID, int(n)*d)
+	table := make([]uint32, int(n)*d)
 	for x := uint64(0); x < n; x++ {
 		id := overlay.ID(x)
 		for i := 1; i <= d; i++ {
-			table[int(x)*d+i-1] = s.RandomTail(s.FlipBit(id, i), i, rng)
+			table[int(x)*d+i-1] = uint32(s.RandomTail(s.FlipBit(id, i), i, rng))
 		}
 	}
 	return &Kademlia{space: s, table: table}, nil
@@ -56,67 +59,46 @@ func (k *Kademlia) Degree() int { return k.space.Bits() }
 
 // Route implements Protocol: greedy descent in XOR distance over alive
 // contacts; fail when no alive contact is strictly closer to dst.
+//
+// Contact i keeps x's first i−1 bits and flips bit i, so it is strictly
+// closer to dst exactly when bit i of x⊕dst is set, and a higher-order such
+// bit gives a strictly smaller distance. Walking the set bits of x⊕dst from
+// the most significant, the first alive contact is the greedy hop.
 func (k *Kademlia) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {
 	d := k.space.Bits()
 	cur := src
 	hops := 0
-	for maxHops := hopCap(k.space); hops < maxHops; {
+	for maxHops := hopCap(k.space); hops < maxHops; hops++ {
 		if cur == dst {
 			return hops, true
 		}
-		curDist := k.space.XORDist(cur, dst)
-		bestDist := curDist
-		best := cur
-		base := int(cur) * d
-		for i := 0; i < d; i++ {
-			nb := k.table[base+i]
-			if !alive.Get(int(nb)) {
-				continue
+		contacts := k.table[int(cur)*d : int(cur)*d+d]
+		diff := k.space.XORDist(cur, dst)
+		for diff != 0 {
+			b := bits.Len64(diff)
+			if nb := overlay.ID(contacts[d-b]); alive.Get(int(nb)) {
+				cur = nb
+				break
 			}
-			if nd := k.space.XORDist(nb, dst); nd < bestDist {
-				bestDist = nd
-				best = nb
-			}
+			diff ^= 1 << uint(b-1)
 		}
-		if best == cur {
+		if diff == 0 {
 			return hops, false
 		}
-		cur = best
-		hops++
 	}
 	return hops, false
 }
 
 // AppendCandidateHops implements Forwarder: the contacts strictly closer to
-// dst in XOR distance, deduplicated, ordered by resulting distance (ties
-// keep bucket order) — the first alive candidate is Route's greedy choice.
+// dst in XOR distance, in ascending resulting distance (see Route) — the
+// first alive candidate is Route's greedy choice.
 func (k *Kademlia) AppendCandidateHops(buf []overlay.ID, x, dst overlay.ID) []overlay.ID {
-	curDist := k.space.XORDist(x, dst)
-	if curDist == 0 {
-		return buf
-	}
 	d := k.space.Bits()
-	start := len(buf)
-	base := int(x) * d
-outer:
-	for i := 0; i < d; i++ {
-		nb := k.table[base+i]
-		nd := k.space.XORDist(nb, dst)
-		if nd >= curDist {
-			continue // no strict progress
-		}
-		for _, prev := range buf[start:] {
-			if prev == nb {
-				continue outer
-			}
-		}
-		buf = append(buf, nb)
-		j := len(buf) - 1
-		for j > start && k.space.XORDist(buf[j-1], dst) > nd {
-			buf[j] = buf[j-1]
-			j--
-		}
-		buf[j] = nb
+	contacts := k.table[int(x)*d : int(x)*d+d]
+	for diff := k.space.XORDist(x, dst); diff != 0; {
+		b := bits.Len64(diff)
+		buf = append(buf, overlay.ID(contacts[d-b]))
+		diff ^= 1 << uint(b-1)
 	}
 	return buf
 }
@@ -136,21 +118,12 @@ func (k *Kademlia) Stabilize(x overlay.ID, alive *overlay.Bitset, rng *overlay.R
 // ResampleNode implements Resampler: re-draws every bucket contact of x,
 // preferring alive candidates. Not safe concurrently with Route.
 func (k *Kademlia) ResampleNode(x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG) {
-	d := k.space.Bits()
-	for i := 1; i <= d; i++ {
-		i := i
-		k.table[int(x)*d+i-1] = drawAlive(alive, func() overlay.ID {
-			return k.space.RandomTail(k.space.FlipBit(x, i), i, rng)
-		})
-	}
+	prefixJoin(k.space, k.table, x, alive, rng)
 }
 
 // Neighbors implements Protocol.
 func (k *Kademlia) Neighbors(x overlay.ID) []overlay.ID {
-	d := k.space.Bits()
-	out := make([]overlay.ID, d)
-	copy(out, k.table[int(x)*d:int(x)*d+d])
-	return out
+	return neighbors(k.table, x, k.space.Bits())
 }
 
 // AppendReplicaSet implements the rcm/replica.Replicator capability

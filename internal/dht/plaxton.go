@@ -12,8 +12,9 @@ import (
 // message is dropped (Fig. 4(a)).
 type Plaxton struct {
 	space overlay.Space
-	// table[x*d + (i-1)] is node x's level-i neighbor.
-	table []overlay.ID
+	// table[x*d + (i-1)] is node x's level-i neighbor: x's first i−1 bits,
+	// bit i flipped, a random tail.
+	table []uint32
 }
 
 var (
@@ -31,13 +32,13 @@ func NewPlaxton(cfg Config) (*Plaxton, error) {
 	d := s.Bits()
 	n := s.Size()
 	rng := overlay.NewRNG(cfg.Seed ^ 0x706c6178746f6e) // "plaxton"
-	table := make([]overlay.ID, int(n)*d)
+	table := make([]uint32, int(n)*d)
 	for x := uint64(0); x < n; x++ {
 		id := overlay.ID(x)
 		for i := 1; i <= d; i++ {
 			// Flip bit i, then randomize everything to its right: a uniform
 			// choice among the 2^{d-i} level-i candidates.
-			table[int(x)*d+i-1] = s.RandomTail(s.FlipBit(id, i), i, rng)
+			table[int(x)*d+i-1] = uint32(s.RandomTail(s.FlipBit(id, i), i, rng))
 		}
 	}
 	return &Plaxton{space: s, table: table}, nil
@@ -66,7 +67,7 @@ func (p *Plaxton) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) 
 			return hops, true
 		}
 		i := p.space.FirstDifferingBit(cur, dst)
-		next := p.table[int(cur)*d+i-1]
+		next := overlay.ID(p.table[int(cur)*d+i-1])
 		if !alive.Get(int(next)) {
 			return hops, false
 		}
@@ -84,7 +85,7 @@ func (p *Plaxton) AppendCandidateHops(buf []overlay.ID, x, dst overlay.ID) []ove
 	if i == 0 {
 		return buf
 	}
-	return append(buf, p.table[int(x)*p.space.Bits()+i-1])
+	return append(buf, overlay.ID(p.table[int(x)*p.space.Bits()+i-1]))
 }
 
 // Join implements Maintainer: a (re)joining node rebuilds every per-level
@@ -102,19 +103,10 @@ func (p *Plaxton) Stabilize(x overlay.ID, alive *overlay.Bitset, rng *overlay.RN
 // ResampleNode implements Resampler: re-draws every per-level neighbor of
 // x, preferring alive candidates. Not safe concurrently with Route.
 func (p *Plaxton) ResampleNode(x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG) {
-	d := p.space.Bits()
-	for i := 1; i <= d; i++ {
-		i := i
-		p.table[int(x)*d+i-1] = drawAlive(alive, func() overlay.ID {
-			return p.space.RandomTail(p.space.FlipBit(x, i), i, rng)
-		})
-	}
+	prefixJoin(p.space, p.table, x, alive, rng)
 }
 
 // Neighbors implements Protocol.
 func (p *Plaxton) Neighbors(x overlay.ID) []overlay.ID {
-	d := p.space.Bits()
-	out := make([]overlay.ID, d)
-	copy(out, p.table[int(x)*d:int(x)*d+d])
-	return out
+	return neighbors(p.table, x, p.space.Bits())
 }

@@ -107,19 +107,32 @@ func MeasureStaticResilience(p dht.Protocol, q float64, opt Options) (Result, er
 		return Result{}, fmt.Errorf("sim: q=%v out of [0,1]", q)
 	}
 	opt = opt.withDefaults()
-	nodes := population(p)
-	if len(nodes) < 2 {
+	// A fully populated overlay's members are the identifiers 0..N-1 and
+	// are walked directly; only a sparse overlay lists them.
+	sparse, isSparse := p.(dht.Populated)
+	var members []overlay.ID
+	count := int(p.Space().Size())
+	if isSparse {
+		members = sparse.Nodes()
+		count = len(members)
+	}
+	if count < 2 {
 		return Result{}, errors.New("sim: overlay population smaller than 2")
 	}
 	root := overlay.NewRNG(opt.Seed ^ 0x5245534c) // "RESL"
 
 	perTrial := make([]float64, 0, opt.Trials)
+	aliveNodes := make([]overlay.ID, 0, count)
 	var totalPairs, totalSuccess, totalHops, aliveSum int
 	for trial := 0; trial < opt.Trials; trial++ {
 		trialRNG := root.Split()
 		alive := overlay.NewBitset(int(p.Space().Size()))
-		aliveNodes := make([]overlay.ID, 0, len(nodes))
-		for _, id := range nodes {
+		aliveNodes = aliveNodes[:0]
+		for i := 0; i < count; i++ {
+			id := overlay.ID(i)
+			if isSparse {
+				id = members[i]
+			}
 			if trialRNG.Bernoulli(1 - q) {
 				alive.Set(int(id))
 				aliveNodes = append(aliveNodes, id)
@@ -155,7 +168,7 @@ func MeasureStaticResilience(p dht.Protocol, q float64, opt Options) (Result, er
 		StdErr:        stderr,
 		CI95Low:       lo,
 		CI95High:      hi,
-		AliveFraction: float64(aliveSum) / float64(len(nodes)*opt.Trials),
+		AliveFraction: float64(aliveSum) / float64(count*opt.Trials),
 		Pairs:         totalPairs,
 		Trials:        opt.Trials,
 	}
